@@ -16,7 +16,10 @@
 // more sensitive than ns/op — is gated separately when both sides report
 // it. Benchmarks present on only one side are reported but never gate
 // (new or deleted benchmarks must not fail the pipeline that introduces
-// them).
+// them). Each side's machine — the `cpu:` header and the -GOMAXPROCS
+// suffix of its benchmark names — is recorded in the report, and a
+// warning is printed when the two differ: ns/op across machines compares
+// hardware as well as code.
 //
 // Load mode (-load) diffs two netembedload LOAD_*.json reports:
 //
@@ -69,19 +72,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	base, err := parseFile(*basePath)
+	base, baseMachine, err := parseFile(*basePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
-	head, err := parseFile(*headPath)
+	head, headMachine, err := parseFile(*headPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
 
 	report := Compare(base, head, gate, *threshold, *allocsThr)
+	report.Machine = Machines{Base: baseMachine, Head: headMachine}
 	writeOut(*outPath, report)
+	if w := report.Machine.Warning(); w != "" {
+		fmt.Fprintln(os.Stderr, "benchgate: warning: "+w)
+	}
 
 	for _, r := range report.Results {
 		marker := " "
@@ -131,8 +138,33 @@ type Report struct {
 	Gate            string   `json:"gate"`
 	Threshold       float64  `json:"threshold"`
 	AllocsThreshold float64  `json:"allocsThreshold"`
+	Machine         Machines `json:"machine"`
 	Results         []Result `json:"results"`
 	Regressions     []string `json:"regressions"`
+}
+
+// Machine identifies the host a bench run came from, as `go test -bench`
+// prints it: the `cpu:` header line and the -GOMAXPROCS suffix of the
+// benchmark names (absent when GOMAXPROCS is 1).
+type Machine struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// Machines pairs the two sides' machines.
+type Machines struct {
+	Base Machine `json:"base"`
+	Head Machine `json:"head"`
+}
+
+// Warning describes how the two sides' machines differ, or returns ""
+// when they match.
+func (m Machines) Warning() string {
+	if m.Base == m.Head {
+		return ""
+	}
+	return fmt.Sprintf("base and head ran on different machines (base: cpu %q, GOMAXPROCS %d; head: cpu %q, GOMAXPROCS %d); ns/op deltas include the hardware difference",
+		m.Base.CPU, m.Base.GOMAXPROCS, m.Head.CPU, m.Head.GOMAXPROCS)
 }
 
 // Result compares one benchmark across the two runs. Deltas are relative:
@@ -159,21 +191,35 @@ type Samples struct {
 	AllocsOp []float64
 }
 
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // ParseBench extracts ns/op and allocs/op samples per benchmark name from
-// `go test -bench -benchmem` output. The trailing -GOMAXPROCS suffix is
-// stripped so runs from differently sized machines still line up.
-func ParseBench(r io.Reader) (map[string]*Samples, error) {
+// `go test -bench -benchmem` output, and the machine the run reports.
+// The trailing -GOMAXPROCS suffix is stripped so runs from differently
+// sized machines still line up; the first benchmark line's suffix is the
+// machine's GOMAXPROCS.
+func ParseBench(r io.Reader) (map[string]*Samples, Machine, error) {
 	out := make(map[string]*Samples)
+	var m Machine
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok && m.CPU == "" {
+			m.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
 		// Benchmark lines read: Name-P  iterations  value ns/op  [more pairs].
+		if m.GOMAXPROCS == 0 {
+			m.GOMAXPROCS = 1
+			if sm := gomaxprocsSuffix.FindStringSubmatch(fields[0]); sm != nil {
+				m.GOMAXPROCS, _ = strconv.Atoi(sm[1])
+			}
+		}
 		name := gomaxprocsSuffix.ReplaceAllString(fields[0], "")
 		s := out[name]
 		if s == nil {
@@ -183,7 +229,7 @@ func ParseBench(r io.Reader) (map[string]*Samples, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bad value %q for %s", fields[i], name)
+				return nil, m, fmt.Errorf("bad value %q for %s", fields[i], name)
 			}
 			switch fields[i+1] {
 			case "ns/op":
@@ -193,23 +239,23 @@ func ParseBench(r io.Reader) (map[string]*Samples, error) {
 			}
 		}
 	}
-	return out, sc.Err()
+	return out, m, sc.Err()
 }
 
-func parseFile(path string) (map[string]*Samples, error) {
+func parseFile(path string) (map[string]*Samples, Machine, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, Machine{}, err
 	}
 	defer f.Close()
-	samples, err := ParseBench(f)
+	samples, m, err := ParseBench(f)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+		return nil, m, fmt.Errorf("%s: %v", path, err)
 	}
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark lines found", path)
+		return nil, m, fmt.Errorf("%s: no benchmark lines found", path)
 	}
-	return samples, nil
+	return samples, m, nil
 }
 
 func median(xs []float64) float64 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"regexp"
@@ -34,7 +35,7 @@ BenchmarkNew/sub-16                            	      10	    222222 ns/op
 
 func parse(t *testing.T, s string) map[string]*Samples {
 	t.Helper()
-	m, err := ParseBench(strings.NewReader(s))
+	m, _, err := ParseBench(strings.NewReader(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +276,51 @@ func TestCompareLoad(t *testing.T) {
 		0.15, 0.10, 1_000_000)
 	if len(quiet.Failures) != 0 {
 		t.Fatalf("sub-floor p99 jitter must not gate: %v", quiet.Failures)
+	}
+}
+
+// TestParseMachine pins the per-side machine record: the `cpu:` header
+// and the -GOMAXPROCS suffix (absent means 1) are parsed from both
+// inputs, land in the report's JSON, and a mismatch yields a warning.
+func TestParseMachine(t *testing.T) {
+	_, base, err := ParseBench(strings.NewReader("cpu: Intel(R) Xeon(R) Processor\n" + baseRun))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base != (Machine{CPU: "Intel(R) Xeon(R) Processor", GOMAXPROCS: 8}) {
+		t.Fatalf("base machine = %+v", base)
+	}
+	_, head, _ := ParseBench(strings.NewReader(headRun))
+	if head != (Machine{GOMAXPROCS: 16}) {
+		t.Fatalf("head machine = %+v (no cpu header)", head)
+	}
+	_, single, _ := ParseBench(strings.NewReader("cpu: X\nBenchmarkA/b\t10\t5 ns/op\n"))
+	if single != (Machine{CPU: "X", GOMAXPROCS: 1}) {
+		t.Fatalf("unsuffixed run machine = %+v, want GOMAXPROCS 1", single)
+	}
+
+	same := Machines{Base: base, Head: base}
+	if w := same.Warning(); w != "" {
+		t.Fatalf("identical machines warned: %s", w)
+	}
+	differ := Machines{Base: base, Head: head}
+	if w := differ.Warning(); !strings.Contains(w, "GOMAXPROCS 8") || !strings.Contains(w, "GOMAXPROCS 16") {
+		t.Fatalf("mismatch warning = %q", w)
+	}
+
+	report := Compare(parse(t, baseRun), parse(t, headRun), regexp.MustCompile(`^BenchmarkRepr_`), 0.10, 0.10)
+	report.Machine = differ
+	raw, err := json.Marshal(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Machine map[string]Machine `json:"machine"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Machine["base"] != base || doc.Machine["head"] != head {
+		t.Fatalf("report machine JSON = %+v", doc.Machine)
 	}
 }

@@ -4,24 +4,35 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"hash"
-	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"netembed/internal/graph"
 	"netembed/internal/service"
 )
 
+// fingerprint is a request's cache identity: the SHA-256 of its
+// canonical serialization (see requestKey).
+type fingerprint [sha256.Size]byte
+
+// keyBufPool recycles the buffers requestKey serializes into, so a
+// fingerprint costs one pass over the request and no allocation once
+// the pool is warm. Buffers that grew past maxPooledKeyBuf (a query with
+// thousands of attributed elements) are dropped instead of pinned.
+var keyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+const maxPooledKeyBuf = 1 << 20
+
 // requestKey fingerprints everything that determines a request's answer
 // except the hosting network itself: a canonical serialization of the
 // query (nodes and edges in ID order, attributes sorted by name — equal
 // graphs hash equally), the constraint sources, and every result-shaping
-// option. The model version is NOT part of this hash; the cache composes
-// it separately so a monitor publish invalidates every entry at once
-// without rehashing.
+// option. Fields are appended little-endian and length-prefixed into a
+// pooled buffer, which is hashed once with sha256.Sum256; nothing
+// escapes to the heap per request. The model version is NOT part of this
+// hash; the cache composes it separately so a monitor publish
+// invalidates every entry at once without rehashing.
 //
 // Requests that depend on state outside the model snapshot are not
 // cacheable: ExcludeReserved answers change with the ledger, and a
@@ -39,111 +50,120 @@ import (
 //keycomplete:fingerprint core.ConsolidateOptions
 //keycomplete:fingerprint core.MetricSpec
 //keycomplete:fingerprint core.Objective
-func requestKey(req service.Request) (string, bool) {
+func requestKey(req service.Request) (fingerprint, bool) {
 	if req.Query == nil || req.ExcludeReserved || req.Stop != nil || req.OnImprove != nil {
-		return "", false
+		return fingerprint{}, false
 	}
-	h := sha256.New()
-	hashGraph(h, req.Query)
-	writeString(h, req.EdgeConstraint)
-	writeString(h, req.NodeConstraint)
-	writeString(h, string(req.Algorithm))
+	bp := keyBufPool.Get().(*[]byte)
+	b := appendGraph((*bp)[:0], req.Query)
+	b = appendString(b, req.EdgeConstraint)
+	b = appendString(b, req.NodeConstraint)
+	b = appendString(b, string(req.Algorithm))
 	// Optimizing-search knobs: the objective is a pure value, so it joins
 	// the fingerprint field-by-field — two requests differing only in
 	// objective kind, attribute or weight must never alias.
-	writeUint(h, boolBit(req.Optimize))
-	writeUint(h, uint64(req.Objective.Kind))
-	writeString(h, req.Objective.Attr)
-	writeUint(h, math.Float64bits(req.Objective.Weight))
-	writeString(h, req.Consolidate.CapacityAttr)
-	writeString(h, req.Consolidate.DemandAttr)
-	writeUint(h, uint64(req.Timeout))
-	writeUint(h, uint64(req.MaxResults))
-	writeUint(h, uint64(req.Seed))
-	writeUint(h, boolBit(req.DedupeSymmetric))
-	writeUint(h, math.Float64bits(req.Consolidate.DefaultCapacity))
-	writeUint(h, boolBit(req.Consolidate.Loopback != nil))
-	hashAttrs(h, req.Consolidate.Loopback)
+	b = appendUint(b, boolBit(req.Optimize))
+	b = appendUint(b, uint64(req.Objective.Kind))
+	b = appendString(b, req.Objective.Attr)
+	b = appendUint(b, math.Float64bits(req.Objective.Weight))
+	b = appendString(b, req.Consolidate.CapacityAttr)
+	b = appendString(b, req.Consolidate.DemandAttr)
+	b = appendUint(b, uint64(req.Timeout))
+	b = appendUint(b, uint64(req.MaxResults))
+	b = appendUint(b, uint64(req.Seed))
+	b = appendUint(b, boolBit(req.DedupeSymmetric))
+	b = appendUint(b, math.Float64bits(req.Consolidate.DefaultCapacity))
+	b = appendUint(b, boolBit(req.Consolidate.Loopback != nil))
+	b = appendAttrs(b, req.Consolidate.Loopback)
 	// Path-mode tuning: two path requests differing in hop bound, window
 	// attributes or metric conjunction have different answers, so every
 	// field joins the fingerprint.
-	writeUint(h, uint64(req.Path.MaxHops))
-	writeString(h, req.Path.DelayAttr)
-	writeString(h, req.Path.WindowLo)
-	writeString(h, req.Path.WindowHi)
-	writeUint(h, uint64(len(req.Path.Metrics)))
+	b = appendUint(b, uint64(req.Path.MaxHops))
+	b = appendString(b, req.Path.DelayAttr)
+	b = appendString(b, req.Path.WindowLo)
+	b = appendString(b, req.Path.WindowHi)
+	b = appendUint(b, uint64(len(req.Path.Metrics)))
 	for _, spec := range req.Path.Metrics {
-		writeString(h, spec.Attr)
-		writeUint(h, uint64(spec.Rule))
-		writeString(h, spec.LoAttr)
-		writeString(h, spec.HiAttr)
-		writeUint(h, math.Float64bits(spec.MissingEdge))
-		writeUint(h, boolBit(spec.MissingFails))
+		b = appendString(b, spec.Attr)
+		b = appendUint(b, uint64(spec.Rule))
+		b = appendString(b, spec.LoAttr)
+		b = appendString(b, spec.HiAttr)
+		b = appendUint(b, math.Float64bits(spec.MissingEdge))
+		b = appendUint(b, boolBit(spec.MissingFails))
 	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	fp := fingerprint(sha256.Sum256(b))
+	if cap(b) <= maxPooledKeyBuf {
+		*bp = b
+		keyBufPool.Put(bp)
+	}
+	return fp, true
 }
 
-// hashGraph feeds a canonical, collision-framed serialization of g into
-// h: orientation, then nodes in ID order (name + attrs), then edges in
-// ID order (endpoints + attrs). Attribute maps are iterated in sorted
+// appendGraph appends a canonical, collision-framed serialization of g:
+// orientation, then nodes in ID order (name + attrs), then edges in ID
+// order (endpoints + attrs). Attribute maps are serialized in sorted
 // name order so equal graphs always produce equal bytes (the GraphML
 // encoder is canonical the same way since its key IDs were pinned to
-// sorted-name order, but hashing the in-memory form stays cheaper than
-// serializing).
-func hashGraph(h hash.Hash, g *graph.Graph) {
-	writeUint(h, boolBit(g.Directed()))
-	writeUint(h, uint64(g.NumNodes()))
-	writeUint(h, uint64(g.NumEdges()))
+// sorted-name order, but serializing the in-memory form stays cheaper).
+func appendGraph(b []byte, g *graph.Graph) []byte {
+	b = appendUint(b, boolBit(g.Directed()))
+	b = appendUint(b, uint64(g.NumNodes()))
+	b = appendUint(b, uint64(g.NumEdges()))
 	for i := 0; i < g.NumNodes(); i++ {
 		n := g.Node(graph.NodeID(i))
-		writeString(h, n.Name)
-		hashAttrs(h, n.Attrs)
+		b = appendString(b, n.Name)
+		b = appendAttrs(b, n.Attrs)
 	}
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(graph.EdgeID(i))
-		writeUint(h, uint64(e.From))
-		writeUint(h, uint64(e.To))
-		hashAttrs(h, e.Attrs)
+		b = appendUint(b, uint64(e.From))
+		b = appendUint(b, uint64(e.To))
+		b = appendAttrs(b, e.Attrs)
 	}
+	return b
 }
 
-func hashAttrs(h hash.Hash, a graph.Attrs) {
-	names := make([]string, 0, len(a))
-	for name := range a {
-		if !a.Get(name).IsMissing() {
+// attrSortStack sizes the stack-backed name slice appendAttrs sorts;
+// query elements carry a handful of attributes, so larger bags (which
+// spill to the heap) are rare.
+const attrSortStack = 16
+
+func appendAttrs(b []byte, a graph.Attrs) []byte {
+	var stack [attrSortStack]string
+	names := stack[:0]
+	for name, v := range a {
+		if !v.IsMissing() {
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
-	writeUint(h, uint64(len(names)))
+	slices.Sort(names)
+	b = appendUint(b, uint64(len(names)))
 	for _, name := range names {
-		writeString(h, name)
-		v := a.Get(name)
-		writeUint(h, uint64(v.Kind()))
+		b = appendString(b, name)
+		v := a[name]
+		b = appendUint(b, uint64(v.Kind()))
 		switch v.Kind() {
 		case graph.Number:
 			f, _ := v.Float()
-			writeUint(h, math.Float64bits(f))
+			b = appendUint(b, math.Float64bits(f))
 		case graph.String:
 			s, _ := v.Text()
-			writeString(h, s)
+			b = appendString(b, s)
 		case graph.Bool:
-			b, _ := v.Truth()
-			writeUint(h, boolBit(b))
+			t, _ := v.Truth()
+			b = appendUint(b, boolBit(t))
 		}
 	}
+	return b
 }
 
-// writeString length-prefixes s so adjacent fields cannot alias.
-func writeString(h hash.Hash, s string) {
-	writeUint(h, uint64(len(s)))
-	io.WriteString(h, s)
+// appendString length-prefixes s so adjacent fields cannot alias.
+func appendString(b []byte, s string) []byte {
+	return append(appendUint(b, uint64(len(s))), s...)
 }
 
-func writeUint(h hash.Hash, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Write(b[:])
+func appendUint(b []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, v)
 }
 
 func boolBit(b bool) uint64 {
@@ -153,13 +173,18 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// cacheEntry pairs a cached response with the model version it answered
-// against. Responses are shared across callers and must be treated as
-// immutable.
-type cacheEntry struct {
-	key     string
+// cacheKey indexes the result cache: a request fingerprint at one model
+// version.
+type cacheKey struct {
+	fp      fingerprint
 	version uint64
-	resp    *service.Response
+}
+
+// cacheEntry pairs a cached response with its index key. Responses are
+// shared across callers and must be treated as immutable.
+type cacheEntry struct {
+	key  cacheKey
+	resp *service.Response
 }
 
 // resultCache is a small LRU of embedding answers keyed by (request
@@ -170,32 +195,26 @@ type resultCache struct {
 	mu  sync.Mutex
 	cap int
 	ll  *list.List // front = most recent; values are *cacheEntry
-	idx map[string]*list.Element
+	idx map[cacheKey]*list.Element
 }
 
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		cap: capacity,
 		ll:  list.New(),
-		idx: make(map[string]*list.Element),
+		idx: make(map[cacheKey]*list.Element),
 	}
-}
-
-func (c *resultCache) composite(key string, version uint64) string {
-	var v [8]byte
-	binary.LittleEndian.PutUint64(v[:], version)
-	return key + hex.EncodeToString(v[:])
 }
 
 // get returns the cached response for the request fingerprint at the
 // given model version, if any.
-func (c *resultCache) get(key string, version uint64) (*service.Response, bool) {
+func (c *resultCache) get(fp fingerprint, version uint64) (*service.Response, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.idx[c.composite(key, version)]
+	el, ok := c.idx[cacheKey{fp, version}]
 	if !ok {
 		return nil, false
 	}
@@ -205,23 +224,22 @@ func (c *resultCache) get(key string, version uint64) (*service.Response, bool) 
 
 // put stores a response under the request fingerprint and model version,
 // evicting the least-recently-used entry when over capacity.
-func (c *resultCache) put(key string, version uint64, resp *service.Response) {
+func (c *resultCache) put(fp fingerprint, version uint64, resp *service.Response) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ck := c.composite(key, version)
-	if el, ok := c.idx[ck]; ok {
+	k := cacheKey{fp, version}
+	if el, ok := c.idx[k]; ok {
 		el.Value.(*cacheEntry).resp = resp
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.idx[ck] = c.ll.PushFront(&cacheEntry{key: key, version: version, resp: resp})
+	c.idx[k] = c.ll.PushFront(&cacheEntry{key: k, resp: resp})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
-		e := oldest.Value.(*cacheEntry)
-		delete(c.idx, c.composite(e.key, e.version))
+		delete(c.idx, oldest.Value.(*cacheEntry).key)
 		c.ll.Remove(oldest)
 	}
 }
@@ -239,8 +257,8 @@ func (c *resultCache) sweep(current uint64) int {
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
 		e := el.Value.(*cacheEntry)
-		if e.version != current {
-			delete(c.idx, c.composite(e.key, e.version))
+		if e.key.version != current {
+			delete(c.idx, e.key)
 			c.ll.Remove(el)
 			n++
 		}

@@ -75,7 +75,14 @@ var (
 	// ErrJobFinished rejects canceling a job that already reached
 	// done/failed.
 	ErrJobFinished = errors.New("engine: job already finished")
+	// ErrJobCanceled is the error a canceled job carries (wrapped with
+	// its ID). HTTP maps it to 409 Conflict on the synchronous /embed.
+	ErrJobCanceled = errors.New("engine: job canceled")
 )
+
+func canceledErr(id JobID) error {
+	return fmt.Errorf("%w (job %s)", ErrJobCanceled, id)
+}
 
 // Job is one asynchronous embedding request. All exported accessors are
 // safe for concurrent use.
@@ -86,9 +93,9 @@ type Job struct {
 	cancelFlag atomic.Bool   // observed by the search's Stop hook
 	done       chan struct{} // closed on the terminal transition
 
-	// cacheKey/cacheable are fixed at submission (requestKey is pure in
-	// the request), so workers never rehash the query graph.
-	cacheKey  string
+	// fp/cacheable are fixed at submission (requestKey is pure in the
+	// request), so workers never rehash the query graph.
+	fp        fingerprint
 	cacheable bool
 
 	mu        sync.Mutex
@@ -373,7 +380,7 @@ func (e *Engine) Submit(req service.Request) (*Job, error) {
 		submitted: time.Now(),
 	}
 	if e.cache != nil {
-		job.cacheKey, job.cacheable = requestKey(req)
+		job.fp, job.cacheable = requestKey(req)
 	}
 
 	// Cache fast path: answered in O(1), never touches the queue. The
@@ -386,7 +393,7 @@ func (e *Engine) Submit(req service.Request) (*Job, error) {
 	}
 	e.ensureStarted()
 	if job.cacheable {
-		if resp, ok := e.cache.get(job.cacheKey, e.svc.Model().Version()); ok {
+		if resp, ok := e.cache.get(job.fp, e.svc.Model().Version()); ok {
 			e.mu.Unlock()
 			e.register(job)
 			e.submitted.Add(1)
@@ -413,29 +420,33 @@ func (e *Engine) Submit(req service.Request) (*Job, error) {
 	return job, nil
 }
 
-// SubmitWait is the synchronous façade the /embed endpoint keeps: submit,
-// then wait for the terminal state or ctx expiry. A ctx cancellation
-// cancels the job (stopping its search) before returning.
-func (e *Engine) SubmitWait(ctx context.Context, req service.Request) (*service.Response, error) {
+// SubmitWait is the synchronous façade behind /embed: submit, wait for
+// the terminal state or ctx expiry, and return the job's final snapshot.
+// A ctx cancellation cancels the job (stopping its search) and returns
+// ctx.Err(). A job that did not finish done returns its error: the
+// submission errors, ErrShuttingDown for a job failed by the drain, an
+// ErrJobCanceled wrap for a canceled one, or the search's own failure —
+// all distinguishable with errors.Is.
+//
+// The caller never sees the job's ID, so the record is forgotten on
+// return instead of lingering, unpollable, for JobRetention.
+func (e *Engine) SubmitWait(ctx context.Context, req service.Request) (Info, error) {
 	job, err := e.Submit(req)
 	if err != nil {
-		return nil, err
+		return Info{}, err
 	}
+	defer e.forget(job.id)
 	select {
 	case <-job.Done():
 	case <-ctx.Done():
-		_, _ = e.Cancel(job.ID())
-		return nil, ctx.Err()
+		_, _ = e.Cancel(job.id)
+		return job.Info(), ctx.Err()
 	}
 	info := job.Info()
-	switch info.State {
-	case StateDone:
-		return info.Response, nil
-	case StateCanceled:
-		return nil, fmt.Errorf("engine: job %s canceled", job.ID())
-	default:
-		return nil, info.Err
+	if info.State != StateDone {
+		return info, info.Err
 	}
+	return info, nil
 }
 
 // Job returns the handle for an ID.
@@ -458,7 +469,7 @@ func (e *Engine) Cancel(id JobID) (Info, error) {
 		return Info{}, ErrJobNotFound
 	}
 	job.cancelFlag.Store(true)
-	if job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", id), false) {
+	if job.finish(StateCanceled, nil, canceledErr(id), false) {
 		e.canceled.Add(1)
 		return job.Info(), nil
 	}
@@ -566,6 +577,12 @@ func (e *Engine) register(job *Job) {
 	e.jobsMu.Unlock()
 }
 
+func (e *Engine) forget(id JobID) {
+	e.jobsMu.Lock()
+	delete(e.jobs, id)
+	e.jobsMu.Unlock()
+}
+
 // worker drains the queue until it is closed; after Close the remaining
 // queued jobs are failed instead of run.
 func (e *Engine) worker() {
@@ -594,7 +611,7 @@ func (e *Engine) run(job *Job) {
 	if job.cancelFlag.Load() {
 		// Canceled while queued; Cancel normally finished it already, but
 		// settle it regardless so no waiter can hang on the done channel.
-		if job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", job.id), false) {
+		if job.finish(StateCanceled, nil, canceledErr(job.id), false) {
 			e.canceled.Add(1)
 		}
 		return
@@ -602,7 +619,7 @@ func (e *Engine) run(job *Job) {
 	if job.cacheable {
 		// Second look: an identical job may have completed, or the model
 		// may have changed, since submission.
-		if resp, ok := e.cache.get(job.cacheKey, e.svc.Model().Version()); ok {
+		if resp, ok := e.cache.get(job.fp, e.svc.Model().Version()); ok {
 			if job.finish(StateDone, resp, nil, true) {
 				e.cacheHits.Add(1)
 				e.completed.Add(1)
@@ -647,7 +664,7 @@ func (e *Engine) run(job *Job) {
 		// Usually Cancel already marked the job; Close's ctx-expiry path
 		// flips the flag without finishing, so settle it here too —
 		// otherwise the done channel never closes and waiters hang.
-		if job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", job.id), false) {
+		if job.finish(StateCanceled, nil, canceledErr(job.id), false) {
 			e.canceled.Add(1)
 		}
 	case err != nil:
@@ -672,7 +689,7 @@ func (e *Engine) run(job *Job) {
 		e.searchIncumbentUpdates.Add(resp.Stats.IncumbentUpdates)
 		e.searchBoundProbes.Add(resp.Stats.BoundProbes)
 		if job.cacheable && cacheableResponse(req, resp) {
-			e.cache.put(job.cacheKey, resp.ModelVersion, resp)
+			e.cache.put(job.fp, resp.ModelVersion, resp)
 		}
 		if job.finish(StateDone, resp, nil, false) {
 			e.completed.Add(1)

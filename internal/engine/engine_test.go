@@ -518,3 +518,107 @@ func TestStatsAccumulateSearchCounters(t *testing.T) {
 		t.Errorf("cache hit changed SearchPruneOps: %d -> %d", st.SearchPruneOps, st2.SearchPruneOps)
 	}
 }
+
+func (e *Engine) jobCount() int {
+	e.jobsMu.Lock()
+	defer e.jobsMu.Unlock()
+	return len(e.jobs)
+}
+
+// TestSubmitWaitForgetsJobs pins that the synchronous façade leaves no
+// job record behind — its caller never learns the ID, so a record would
+// sit unpollable until JobRetention — whether the answer was a fresh
+// search, a cache hit, or a wait cut short by the caller's context.
+// Asynchronous submissions stay pollable.
+func TestSubmitWaitForgetsJobs(t *testing.T) {
+	e, _ := newTestEngine(t, Config{Workers: 2})
+	for i := 0; i < 20; i++ {
+		info, err := e.SubmitWait(context.Background(), fastRequest(int64(i%5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.State != StateDone || info.Response == nil {
+			t.Fatalf("request %d: state %s, response %v", i, info.State, info.Response)
+		}
+		if wantHit := i >= 5; info.FromCache != wantHit {
+			t.Fatalf("request %d: FromCache = %v, want %v", i, info.FromCache, wantHit)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := e.SubmitWait(ctx, slowRequest()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired wait returned %v, want context.DeadlineExceeded", err)
+	}
+	if n := e.jobCount(); n != 0 {
+		t.Fatalf("%d job records left behind by SubmitWait, want 0", n)
+	}
+
+	job, err := e.Submit(fastRequest(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Wait(context.Background(), job.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.Job(job.ID()); !ok {
+		t.Fatal("an asynchronous job record vanished after Wait")
+	}
+}
+
+// TestSubmitWaitErrorClasses pins that every way a synchronous
+// submission can fail stays distinguishable with errors.Is — the HTTP
+// layer maps them to 429, 503, 409 and 400.
+func TestSubmitWaitErrorClasses(t *testing.T) {
+	e, _ := newTestEngine(t, Config{Workers: 1, QueueDepth: 1})
+
+	// Canceled out from under the waiter.
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.SubmitWait(context.Background(), slowRequest())
+		errc <- err
+	}()
+	var running *Job
+	for deadline := time.Now().Add(5 * time.Second); running == nil; {
+		e.jobsMu.Lock()
+		for _, j := range e.jobs {
+			running = j
+		}
+		e.jobsMu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("SubmitWait never registered its job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waitState(t, running, StateRunning, 5*time.Second)
+
+	// Backpressure while the only worker is busy: one queued, then full.
+	queued, err := e.Submit(slowRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubmitWait(context.Background(), slowRequest()); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("full queue returned %v, want ErrQueueFull", err)
+	}
+	if _, err := e.Cancel(queued.ID()); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := e.Cancel(running.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; !errors.Is(err, ErrJobCanceled) {
+		t.Fatalf("canceled job returned %v, want ErrJobCanceled", err)
+	}
+
+	if _, err := e.SubmitWait(context.Background(), service.Request{}); !errors.Is(err, service.ErrNoQuery) {
+		t.Fatalf("empty request returned %v, want service.ErrNoQuery", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := e.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubmitWait(context.Background(), fastRequest(1)); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("closed engine returned %v, want ErrShuttingDown", err)
+	}
+}

@@ -17,17 +17,20 @@ import (
 	"netembed/internal/trace"
 )
 
-// Steady-state allocation budgets for the serve path, pinned after the
-// PR-8 pooling work (search-state sync.Pool in core, query-decode LRU
-// and response-buffer reuse here). Before that work a warm /embed ran
-// ~2300 allocs; pooling plus the decode cache brought it under 200. The
-// budgets leave slack for runtime noise (background engine goroutines
-// allocate on their own schedule) while still catching a regression that
-// reintroduces per-request GraphML decoding (~1800 allocs) or per-search
-// filter construction (~350 allocs).
+// Steady-state allocation budgets for the serve path: each is the figure
+// measured on this fixture plus slack for runtime noise (background
+// engine goroutines allocate on their own schedule, and the race
+// detector's sync.Pool drops add ~50 to a warm search). A warm /embed
+// measures ~92 (pooled search state, query-decode LRU, pooled response
+// buffers, allocation-free fingerprint, typed wire stats); a cached
+// /jobs submit plus poll ~183; a cached /embed ~35 (memoized reply
+// bytes). The budgets catch a regression that reintroduces per-request
+// GraphML decoding (~1800 allocs), per-search filter construction (~350),
+// per-request fingerprint allocation (~200) or cache-hit re-encoding.
 const (
-	warmEmbedAllocBudget    = 700
-	cachedSubmitAllocBudget = 700
+	warmEmbedAllocBudget    = 200
+	cachedSubmitAllocBudget = 250
+	cachedEmbedAllocBudget  = 60
 )
 
 func newAllocServer(t *testing.T, cacheCap int) (*Server, []byte) {
@@ -63,6 +66,18 @@ func TestWarmEmbedAllocBudget(t *testing.T) {
 		t.Skip("allocation measurement is slow under -short")
 	}
 	api, body := newAllocServer(t, -1)
+	avg := measureEmbedAllocs(t, api, body)
+	t.Logf("warm /embed: %.1f allocs/op (budget %d)", avg, warmEmbedAllocBudget)
+	if avg > warmEmbedAllocBudget {
+		t.Errorf("warm /embed allocates %.1f/op, budget %d — a serve-path reuse layer regressed",
+			avg, warmEmbedAllocBudget)
+	}
+}
+
+// measureEmbedAllocs returns the steady-state allocations of one POST
+// /embed round trip on api, after priming pools and caches.
+func measureEmbedAllocs(t *testing.T, api *Server, body []byte) float64 {
+	t.Helper()
 	do := func() {
 		rec := httptest.NewRecorder()
 		api.ServeHTTP(rec, httptest.NewRequest("POST", "/embed", bytes.NewReader(body)))
@@ -71,13 +86,29 @@ func TestWarmEmbedAllocBudget(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		do() // prime pools and the query-decode cache
+		do()
 	}
-	avg := testing.AllocsPerRun(50, do)
-	t.Logf("warm /embed: %.1f allocs/op (budget %d)", avg, warmEmbedAllocBudget)
-	if avg > warmEmbedAllocBudget {
-		t.Errorf("warm /embed allocates %.1f/op, budget %d — a serve-path reuse layer regressed",
-			avg, warmEmbedAllocBudget)
+	return testing.AllocsPerRun(50, do)
+}
+
+// TestCachedEmbedAllocBudget pins a result-cache hit on the synchronous
+// /embed — fingerprint, cache lookup, memoized reply bytes — and that it
+// is the cheapest /embed: it must allocate less than a warm search.
+func TestCachedEmbedAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is slow under -short")
+	}
+	cachedAPI, body := newAllocServer(t, 64)
+	cached := measureEmbedAllocs(t, cachedAPI, body)
+	warmAPI, _ := newAllocServer(t, -1)
+	warm := measureEmbedAllocs(t, warmAPI, body)
+	t.Logf("cached /embed: %.1f allocs/op (budget %d); warm /embed: %.1f", cached, cachedEmbedAllocBudget, warm)
+	if cached > cachedEmbedAllocBudget {
+		t.Errorf("cached /embed allocates %.1f/op, budget %d — the cache-hit serve path regressed",
+			cached, cachedEmbedAllocBudget)
+	}
+	if cached >= warm {
+		t.Errorf("cached /embed allocates %.1f/op, not less than a warm search's %.1f", cached, warm)
 	}
 }
 

@@ -263,24 +263,24 @@ func embedResponseJSON(resp *service.Response) EmbedResponse {
 		Mappings:     make([]map[string]string, len(resp.Named)),
 		ModelVersion: resp.ModelVersion,
 		ElapsedMs:    float64(resp.Elapsed) / float64(time.Millisecond),
-		Stats: map[string]interface{}{
-			"nodesVisited":     resp.Stats.NodesVisited,
-			"backtracks":       resp.Stats.Backtracks,
-			"edgePairsEval":    resp.Stats.EdgePairsEval,
-			"filterEntries":    resp.Stats.FilterEntries,
-			"constraintChk":    resp.Stats.ConstraintChk,
-			"pruneOps":         resp.Stats.PruneOps,
-			"wipeouts":         resp.Stats.Wipeouts,
-			"wipeoutDepthSum":  resp.Stats.WipeoutDepthSum,
-			"backjumps":        resp.Stats.Backjumps,
-			"steals":           resp.Stats.Steals,
-			"witnessProbes":    resp.Stats.WitnessProbes,
-			"witnessHits":      resp.Stats.WitnessHits,
-			"reachPrunes":      resp.Stats.ReachPrunes,
-			"boundCuts":        resp.Stats.BoundCuts,
-			"incumbentUpdates": resp.Stats.IncumbentUpdates,
-			"boundProbes":      resp.Stats.BoundProbes,
-			"timeToFirstMs":    float64(resp.Stats.TimeToFirst) / float64(time.Millisecond),
+		Stats: EmbedStatsJSON{
+			Backjumps:        resp.Stats.Backjumps,
+			Backtracks:       resp.Stats.Backtracks,
+			BoundCuts:        resp.Stats.BoundCuts,
+			BoundProbes:      resp.Stats.BoundProbes,
+			ConstraintChk:    resp.Stats.ConstraintChk,
+			EdgePairsEval:    resp.Stats.EdgePairsEval,
+			FilterEntries:    resp.Stats.FilterEntries,
+			IncumbentUpdates: resp.Stats.IncumbentUpdates,
+			NodesVisited:     resp.Stats.NodesVisited,
+			PruneOps:         resp.Stats.PruneOps,
+			ReachPrunes:      resp.Stats.ReachPrunes,
+			Steals:           resp.Stats.Steals,
+			TimeToFirstMs:    float64(resp.Stats.TimeToFirst) / float64(time.Millisecond),
+			WipeoutDepthSum:  resp.Stats.WipeoutDepthSum,
+			Wipeouts:         resp.Stats.Wipeouts,
+			WitnessHits:      resp.Stats.WitnessHits,
+			WitnessProbes:    resp.Stats.WitnessProbes,
 		},
 		ObjectiveCost: resp.ObjectiveCost,
 		Warnings:      resp.Warnings,

@@ -56,6 +56,9 @@ type Server struct {
 	lc *lifecycle.Manager
 	// queries memoizes GraphML query decoding across requests (perf.go).
 	queries *queryCache
+	// replies memoizes the encoded /embed reply of result-cache hits
+	// (perf.go).
+	replies *replyCache
 	// identity is the shard identity this server answers /internal/shard/*
 	// with (shard.go); defaults to an anonymous single-shard identity.
 	identity *service.LocalShard
@@ -74,7 +77,7 @@ func New(svc *service.Service) *Server {
 // (the daemon uses this so it can drain the engine during graceful
 // shutdown). The engine must wrap the same svc.
 func NewWithEngine(svc *service.Service, eng *engine.Engine) *Server {
-	s := &Server{svc: svc, eng: eng, mux: http.NewServeMux(), queries: newQueryCache(0)}
+	s := &Server{svc: svc, eng: eng, mux: http.NewServeMux(), queries: newQueryCache(0), replies: newReplyCache(0)}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/model", s.handleModel)
 	s.mux.HandleFunc("/embed", s.handleEmbed)
@@ -226,10 +229,10 @@ type EmbedResponse struct {
 	Mappings []map[string]string `json:"mappings"`
 	// Paths holds, for path-algorithm answers, each mapping's witness
 	// hosting paths (parallel to Mappings, one per query edge).
-	Paths        [][]PathWitnessJSON    `json:"paths,omitempty"`
-	ModelVersion uint64                 `json:"modelVersion"`
-	ElapsedMs    float64                `json:"elapsedMs"`
-	Stats        map[string]interface{} `json:"stats"`
+	Paths        [][]PathWitnessJSON `json:"paths,omitempty"`
+	ModelVersion uint64              `json:"modelVersion"`
+	ElapsedMs    float64             `json:"elapsedMs"`
+	Stats        EmbedStatsJSON      `json:"stats"`
 	// Cached is true when the answer came from the engine's result cache
 	// (same query fingerprint, same model version) without a new search.
 	Cached bool `json:"cached,omitempty"`
@@ -239,6 +242,29 @@ type EmbedResponse struct {
 	// Warnings flags suspicious-but-legal requests (unknown attribute
 	// names, objectives on algorithms that ignore them).
 	Warnings []string `json:"warnings,omitempty"`
+}
+
+// EmbedStatsJSON is the wire form of an answer's search counters (see
+// core.Stats). Fields are declared in sorted JSON-name order, the order
+// the stats object has always had on the wire.
+type EmbedStatsJSON struct {
+	Backjumps        int64   `json:"backjumps"`
+	Backtracks       int64   `json:"backtracks"`
+	BoundCuts        int64   `json:"boundCuts"`
+	BoundProbes      int64   `json:"boundProbes"`
+	ConstraintChk    int64   `json:"constraintChk"`
+	EdgePairsEval    int64   `json:"edgePairsEval"`
+	FilterEntries    int64   `json:"filterEntries"`
+	IncumbentUpdates int64   `json:"incumbentUpdates"`
+	NodesVisited     int64   `json:"nodesVisited"`
+	PruneOps         int64   `json:"pruneOps"`
+	ReachPrunes      int64   `json:"reachPrunes"`
+	Steals           int64   `json:"steals"`
+	TimeToFirstMs    float64 `json:"timeToFirstMs"`
+	WipeoutDepthSum  int64   `json:"wipeoutDepthSum"`
+	Wipeouts         int64   `json:"wipeouts"`
+	WitnessHits      int64   `json:"witnessHits"`
+	WitnessProbes    int64   `json:"witnessProbes"`
 }
 
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
@@ -259,42 +285,36 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	// Submit-and-wait over the engine: the blocking contract is kept, but
 	// the search runs on the worker pool with backpressure and the result
 	// cache in front, and a client disconnect cancels the search.
-	job, err := s.eng.Submit(sreq)
+	info, err := s.eng.SubmitWait(r.Context(), sreq)
+	if err != nil {
+		writeError(w, jobErrorStatus(err), err)
+		return
+	}
+	if info.FromCache {
+		s.replies.write(w, info.Response)
+		return
+	}
+	writeJSON(w, http.StatusOK, embedResponseJSON(info.Response))
+}
+
+// jobErrorStatus maps an engine submission or job failure to its HTTP
+// status: backpressure is 429; a draining engine or a client that went
+// away is 503 (a server-side condition, not a client error); a job
+// canceled out from under a blocking caller (a drain cut short) is 409;
+// anything else is the request's own fault.
+func jobErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, engine.ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, engine.ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return http.StatusTooManyRequests
+	case errors.Is(err, engine.ErrShuttingDown),
+		errors.Is(err, context.Canceled),
+		errors.Is(err, context.DeadlineExceeded):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, engine.ErrJobCanceled):
+		return http.StatusConflict
+	default:
+		return http.StatusBadRequest
 	}
-	info, err := s.eng.Wait(r.Context(), job.ID())
-	if err != nil {
-		_, _ = s.eng.Cancel(job.ID())
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	if info.State != engine.StateDone {
-		switch {
-		case errors.Is(info.Err, engine.ErrShuttingDown):
-			// Failed by the graceful drain: a server-side condition, not
-			// a client error.
-			writeError(w, http.StatusServiceUnavailable, info.Err)
-		case info.State == engine.StateCanceled:
-			// Someone canceled the backing job out from under the
-			// blocking caller (DELETE /jobs/{id} or a drain cut short).
-			writeError(w, http.StatusConflict, info.Err)
-		default:
-			writeError(w, http.StatusBadRequest, info.Err)
-		}
-		return
-	}
-	out := embedResponseJSON(info.Response)
-	out.Cached = info.FromCache
-	writeJSON(w, http.StatusOK, out)
 }
 
 // ReserveRequest is the JSON body of POST /reserve.
@@ -351,20 +371,31 @@ func (s *Server) handleReserve(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	buf := responseBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := encodeJSON(buf, v); err != nil {
 		// Nothing was written yet, so the error can still travel as JSON.
 		buf.Reset()
 		buf.WriteString(`{"error":"response encoding failed"}` + "\n")
 		status = http.StatusInternalServerError
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	writeJSONBytes(w, status, buf.Bytes())
 	if buf.Cap() <= maxPooledResponseBuf {
 		responseBufPool.Put(buf)
 	}
+}
+
+// encodeJSON renders v in the API's reply format: two-space indented,
+// newline terminated.
+func encodeJSON(buf *bytes.Buffer, v interface{}) error {
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// writeJSONBytes sends an already encoded JSON reply.
+func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

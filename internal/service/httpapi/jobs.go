@@ -89,15 +89,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, err := s.eng.Submit(sreq)
-	switch {
-	case errors.Is(err, engine.ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, engine.ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	if err != nil {
+		writeError(w, jobErrorStatus(err), err)
 		return
 	}
 	w.Header().Set("Location", "/jobs/"+string(job.ID()))

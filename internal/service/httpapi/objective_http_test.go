@@ -53,7 +53,7 @@ func TestEmbedObjectiveCost(t *testing.T) {
 	if want := 2.0 + 4.0; *er.ObjectiveCost != want {
 		t.Fatalf("objectiveCost = %v, want %v (two cheapest hosts)", *er.ObjectiveCost, want)
 	}
-	if n, _ := er.Stats["incumbentUpdates"].(float64); n == 0 {
+	if er.Stats.IncumbentUpdates == 0 {
 		t.Fatalf("optimize run reports zero incumbent updates: %s", raw)
 	}
 

@@ -91,9 +91,8 @@ func TestEmbedPathMode(t *testing.T) {
 			t.Fatalf("solution %d witness %v does not join mapping %v", i, witnesses[0].Path, out.Mappings[i])
 		}
 	}
-	probes, ok := out.Stats["witnessProbes"].(float64)
-	if !ok || probes <= 0 {
-		t.Errorf("stats witnessProbes = %v, want > 0", out.Stats["witnessProbes"])
+	if out.Stats.WitnessProbes <= 0 {
+		t.Errorf("stats witnessProbes = %d, want > 0", out.Stats.WitnessProbes)
 	}
 }
 

@@ -1,17 +1,26 @@
 // Serve-path performance layer: the request-side allocation sinks that
-// profiling BenchmarkServePath surfaced live here.
+// profiling BenchmarkServePath surfaced, and what replaces each.
 //
-// Two sinks dominate a warm /embed request. First, every handler decodes
-// the query network from its GraphML wire form — ~1800 allocations for a
-// small query, ~80% of the request's total — even though load generators
-// and monitoring loops resubmit the same handful of query shapes
-// verbatim. queryCache memoizes raw GraphML text → decoded *graph.Graph
-// under a small LRU; decoded graphs are immutable by the service's
-// copy-on-write discipline (Negotiate clones before relaxing windows, and
-// no handler mutates a decoded query), so one decode can serve every
-// subsequent request that carries byte-identical GraphML. Second, every
-// JSON reply allocated a fresh encoder buffer; writeJSON now rents
-// buffers from a sync.Pool (see httpapi.go).
+//   - Query decode. Every handler receives the query network as GraphML
+//     text, and decoding it cost ~1800 allocations for a small query —
+//     most of a warm request — although clients resubmit a handful of
+//     query shapes verbatim. queryCache memoizes raw GraphML text →
+//     decoded *graph.Graph under a small LRU; decoded graphs are
+//     immutable by the service's copy-on-write discipline (Negotiate
+//     clones before relaxing windows, and no handler mutates a decoded
+//     query), so one decode serves every byte-identical resubmission.
+//   - Request fingerprint. The engine's result-cache key hashed through
+//     a hash.Hash, escaping a scratch array per field and re-sorting
+//     every attribute bag into a fresh slice (~200 allocations per
+//     request). engine.requestKey now append-encodes the same fields
+//     into a pooled buffer, sorts attribute names in a stack-backed
+//     slice, and indexes the cache by a fixed-size {fingerprint,
+//     version} struct: no allocation once warm.
+//   - Reply encode. Every reply rented a fresh encoder buffer, and a
+//     result-cache hit re-rendered the same immutable answer — stats,
+//     mappings and all — on every repeat. writeJSON rents buffers from
+//     a sync.Pool (httpapi.go), and replyCache keeps the encoded bytes
+//     of each cache-hit answer so a repeat is a map lookup and a write.
 //
 // GET /stats additionally reports the serve-path gauges defined here:
 // runtime memory counters, the model's snapshot-retirement epochs and the
@@ -21,6 +30,7 @@ package httpapi
 import (
 	"bytes"
 	"container/list"
+	"net/http"
 	"runtime"
 	"sync"
 
@@ -104,6 +114,72 @@ func (c *queryCache) stats() (hits, misses uint64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.l.Len()
+}
+
+// defaultReplyCacheCap bounds the encoded-reply memo; it matches the
+// engine's default result-cache capacity, whose answers it mirrors.
+const defaultReplyCacheCap = 512
+
+// replyCache memoizes the wire bytes of result-cache hits on /embed.
+// Cached *service.Response values are immutable and shared by every hit
+// on their (fingerprint, model version), so the reply — always the same
+// answer with cached: true — is encoded once per response and replayed
+// byte for byte. A model publish needs no invalidation: the engine's
+// cache misses at the new version and hands back new responses, which
+// get entries of their own; entries of older versions are dropped first
+// when the memo is full.
+type replyCache struct {
+	mu  sync.Mutex
+	cap int
+	m   map[*service.Response][]byte
+}
+
+func newReplyCache(capacity int) *replyCache {
+	if capacity <= 0 {
+		capacity = defaultReplyCacheCap
+	}
+	return &replyCache{cap: capacity, m: make(map[*service.Response][]byte)}
+}
+
+// write sends the cache-hit reply for resp, encoding it on first use.
+func (c *replyCache) write(w http.ResponseWriter, resp *service.Response) {
+	c.mu.Lock()
+	body, ok := c.m[resp]
+	c.mu.Unlock()
+	if !ok {
+		out := embedResponseJSON(resp)
+		out.Cached = true
+		var buf bytes.Buffer
+		if err := encodeJSON(&buf, out); err != nil {
+			writeJSON(w, http.StatusOK, out) // reports the encoding failure
+			return
+		}
+		body = buf.Bytes()
+		c.put(resp, body)
+	}
+	writeJSONBytes(w, http.StatusOK, body)
+}
+
+// put stores an encoded reply. When the memo is full it first drops
+// every entry answered at another model version than resp (the result
+// cache can no longer return them), then an arbitrary one.
+func (c *replyCache) put(resp *service.Response, body []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.m) >= c.cap {
+		for r := range c.m {
+			if r.ModelVersion != resp.ModelVersion {
+				delete(c.m, r)
+			}
+		}
+	}
+	if len(c.m) >= c.cap {
+		for r := range c.m {
+			delete(c.m, r)
+			break
+		}
+	}
+	c.m[resp] = body
 }
 
 // responseBufPool recycles the JSON encoding buffers writeJSON rents.

@@ -395,33 +395,27 @@ func decodeEmbedResponse(out *EmbedResponse) (*service.Response, error) {
 	return resp, nil
 }
 
-// statsFromJSON recovers the search counters from the wire stats map.
+// statsFromJSON recovers the search counters from the wire stats.
 //
 //statsthread:fold core.Stats except FilterEntries
-func statsFromJSON(m map[string]interface{}) core.Stats {
-	n := func(key string) int64 {
-		v, _ := m[key].(float64)
-		return int64(v)
-	}
+func statsFromJSON(w EmbedStatsJSON) core.Stats {
 	var st core.Stats
-	st.NodesVisited = n("nodesVisited")
-	st.Backtracks = n("backtracks")
-	st.EdgePairsEval = n("edgePairsEval")
-	st.ConstraintChk = n("constraintChk")
-	st.PruneOps = n("pruneOps")
-	st.Wipeouts = n("wipeouts")
-	st.WipeoutDepthSum = n("wipeoutDepthSum")
-	st.Backjumps = n("backjumps")
-	st.Steals = n("steals")
-	st.WitnessProbes = n("witnessProbes")
-	st.WitnessHits = n("witnessHits")
-	st.ReachPrunes = n("reachPrunes")
-	st.BoundCuts = n("boundCuts")
-	st.IncumbentUpdates = n("incumbentUpdates")
-	st.BoundProbes = n("boundProbes")
-	if ms, ok := m["timeToFirstMs"].(float64); ok {
-		st.TimeToFirst = time.Duration(ms * float64(time.Millisecond))
-	}
+	st.NodesVisited = w.NodesVisited
+	st.Backtracks = w.Backtracks
+	st.EdgePairsEval = w.EdgePairsEval
+	st.ConstraintChk = w.ConstraintChk
+	st.PruneOps = w.PruneOps
+	st.Wipeouts = w.Wipeouts
+	st.WipeoutDepthSum = w.WipeoutDepthSum
+	st.Backjumps = w.Backjumps
+	st.Steals = w.Steals
+	st.WitnessProbes = w.WitnessProbes
+	st.WitnessHits = w.WitnessHits
+	st.ReachPrunes = w.ReachPrunes
+	st.BoundCuts = w.BoundCuts
+	st.IncumbentUpdates = w.IncumbentUpdates
+	st.BoundProbes = w.BoundProbes
+	st.TimeToFirst = time.Duration(w.TimeToFirstMs * float64(time.Millisecond))
 	return st
 }
 
